@@ -6,8 +6,8 @@ package kecho
 // fallback reader goroutine; the writer pool is unaffected.
 type readReactor struct{}
 
-func startReadReactor(*Channel) *readReactor  { return nil }
-func (*readReactor) register(*peer) bool      { return false }
-func (*readReactor) forget(*peer)             {}
-func (*readReactor) shutdown()                {}
-func (*readReactor) closeFDs()                {}
+func startReadReactor(*Channel) *readReactor { return nil }
+func (*readReactor) register(*peer) bool     { return false }
+func (*readReactor) forget(*peer)            {}
+func (*readReactor) shutdown()               {}
+func (*readReactor) closeFDs()               {}
