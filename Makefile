@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check figures bench allocgate sim-smoke
+.PHONY: build test race vet fmt check figures bench allocgate sim-smoke
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,17 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-merge gate: static analysis plus the full suite under the
-# race detector (the fault-injection tests exercise concurrent heal paths,
+# fmt fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt: unformatted files:"; echo "$$out"; exit 1; fi
+
+# check is the pre-merge gate: static analysis, gofmt, and the full suite
+# under the race detector (the fault-injection tests exercise concurrent heal paths,
 # so -race is not optional here). The suite includes the tsdb crash-recovery
 # tests — torn writes, kill-9 replay, ENOSPC degradation — and the
 # append/query/flush concurrency hammer.
-check: vet race
+check: vet fmt race
 
 figures:
 	$(GO) run ./cmd/figures

@@ -507,7 +507,7 @@ func BenchmarkAblationP2PvsCentral(b *testing.B) {
 		chans := newMesh(b, benchNodes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := chans[0].Submit(payload); err != nil {
+			if _, err := chans[0].Publish(payload, kecho.PublishOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -585,7 +585,7 @@ func BenchmarkAblationPollVsImmediate(b *testing.B) {
 			payload := make([]byte, 100)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Submit(payload); err != nil {
+				if _, err := a.Publish(payload, kecho.PublishOpts{}); err != nil {
 					b.Fatal(err)
 				}
 				for delivered := false; !delivered; {
@@ -937,7 +937,7 @@ func benchFanoutMesh(b *testing.B, peers int) (*kecho.Channel, *faultnet.Fabric)
 			// Small queues so the mesh reaches its recycling steady state
 			// during warm-up instead of absorbing the whole run into fresh
 			// allocations: a bounded outbox caps the publisher's in-flight
-			// record set (released records then feed Submit from the pool),
+			// record set (released records then feed Publish from the pool),
 			// and a bounded inbox lets the never-polled subscribers recycle
 			// payload buffers through the freelist.
 			InboxSize:  32,
@@ -962,21 +962,21 @@ func benchFanoutMesh(b *testing.B, peers int) (*kecho.Channel, *faultnet.Fabric)
 	return pub, f
 }
 
-// BenchmarkSubmitFanout measures the publisher-side cost of one Submit to an
+// BenchmarkSubmitFanout measures the publisher-side cost of one Publish to an
 // 8-peer channel — the hot path under the paper's Figs. 6-7 overhead claim.
 // The stalled variant scripts one wedged subscriber through faultnet; with
 // async per-peer fan-out its cost must stay within the same order as the
-// all-healthy case (the pre-fix cost was one write deadline per Submit).
+// all-healthy case (the pre-fix cost was one write deadline per Publish).
 func BenchmarkSubmitFanout(b *testing.B) {
 	const peers = 8
 	payload := make([]byte, 256)
-	// warm runs Submit until the record pool and per-peer outboxes have been
+	// warm runs Publish until the record pool and per-peer outboxes have been
 	// through a full cycle, so the measured loop reports the steady state the
 	// zero-allocation contract is stated for, not one-time pool growth.
 	warm := func(b *testing.B, pub *kecho.Channel) {
 		b.Helper()
 		for i := 0; i < 512; i++ {
-			if _, err := pub.Submit(payload); err != nil {
+			if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -988,7 +988,7 @@ func BenchmarkSubmitFanout(b *testing.B) {
 		base := pub.Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pub.Submit(payload); err != nil {
+			if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1004,7 +1004,7 @@ func BenchmarkSubmitFanout(b *testing.B) {
 		base := pub.Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pub.Submit(payload); err != nil {
+			if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1016,7 +1016,7 @@ func BenchmarkSubmitFanout(b *testing.B) {
 
 // BenchmarkHotPath measures the complete steady-state event hot path of one
 // monitoring round, end to end: run the paper's Figure 3 E-code filter on a
-// sample (pooled VM, cached compilation), Submit the resulting event to a
+// sample (pooled VM, cached compilation), Publish the resulting event to a
 // kecho peer (encode-once pooled records), and wait until the event has
 // crossed the loopback TCP link and been dispatched to a handler (zero-copy
 // frame receive, recycled payload buffers). The "polled" variant drives the
@@ -1143,7 +1143,7 @@ func runHotPath(b *testing.B, mode kecho.DispatchMode, pubObs, subObs *obs.Obser
 			payload = binary.BigEndian.AppendUint64(payload, uint64(rec.ID))
 			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(rec.Value))
 		}
-		if _, serr := pub.SubmitTraced(payload, tid); serr != nil {
+		if _, serr := pub.Publish(payload, kecho.PublishOpts{TraceID: tid, Traced: true}); serr != nil {
 			b.Fatal(serr)
 		}
 		target++
@@ -1271,14 +1271,14 @@ func benchWriterScale(b *testing.B, peers int) {
 
 	payload := make([]byte, 64)
 	for i := 0; i < 512; i++ {
-		if _, err := pub.Submit(payload); err != nil {
+		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pub.Submit(payload); err != nil {
+		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1416,7 +1416,7 @@ func benchRelayFanout(b *testing.B, nsubs int) {
 
 	payload := make([]byte, 128)
 	for i := 0; i < 64; i++ {
-		if _, err := pub.Submit(payload); err != nil {
+		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1426,7 +1426,7 @@ func benchRelayFanout(b *testing.B, nsubs int) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pub.Submit(payload); err != nil {
+		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,18 +1,25 @@
 package faultnet
 
 import (
+	"errors"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
-// stallPollInterval is how often a stalled Read/Write rechecks the fault
-// plan and its deadline. Coarse enough to stay cheap, fine enough that
+// stallPollInterval is how often a stalled Write rechecks the fault plan and
+// its deadline. Coarse enough to stay cheap, fine enough that
 // deadline-bounded tests finish promptly.
 const stallPollInterval = time.Millisecond
 
 // Conn is a fabric-wrapped connection. local is always known; remote is the
 // destination host for dialed connections and "" for accepted ones.
+//
+// Every fault acts on the write side or by shutting the real socket down,
+// never by intercepting Read, so a reader that polls the socket's fd
+// directly (kecho's epoll reactor, reached through SyscallConn) sees
+// exactly what a Read caller would.
 type Conn struct {
 	net.Conn
 	fabric *Fabric
@@ -24,7 +31,6 @@ type Conn struct {
 	hasBudget     bool
 	framesLeft    int
 	killed        bool
-	readDeadline  time.Time
 	writeDeadline time.Time
 }
 
@@ -63,8 +69,17 @@ func (c *Conn) kill() {
 	c.fabric.connsKilled++
 	delete(c.fabric.conns, c)
 	c.fabric.mu.Unlock()
-	// Closing the real socket resets the TCP pair, so the remote side's
-	// blocked reads fail too.
+	// Shut the socket down in both directions: the remote side reads EOF and
+	// anything it sends afterwards is answered with a reset, and local
+	// readers — blocked in Read or polling the fd — see the hang-up too.
+	// Closing it instead would silently drop the fd from any epoll set
+	// watching it. The owner's Close releases the fd.
+	if tc, ok := c.Conn.(*net.TCPConn); ok {
+		// Errors mean the socket is already shut or closed.
+		_ = tc.CloseRead()
+		_ = tc.CloseWrite()
+		return
+	}
 	c.Conn.Close()
 }
 
@@ -89,27 +104,29 @@ func (c *Conn) CloseWrite() error {
 	return nil
 }
 
+// SyscallConn exposes the wrapped socket, so fd-polling readers can adopt a
+// fabric conn. Reading the fd directly bypasses nothing: no fault acts on
+// Read.
+func (c *Conn) SyscallConn() (syscall.RawConn, error) {
+	if sc, ok := c.Conn.(syscall.Conn); ok {
+		return sc.SyscallConn()
+	}
+	return nil, errors.New("faultnet: wrapped conn has no file descriptor")
+}
+
 func (c *Conn) isKilled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.killed
 }
 
-// SetDeadline implements net.Conn, tracking deadlines locally so stall
-// waits honour them.
+// SetDeadline implements net.Conn, tracking the write deadline locally so
+// stalled writes honour it.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.readDeadline, c.writeDeadline = t, t
+	c.writeDeadline = t
 	c.mu.Unlock()
 	return c.Conn.SetDeadline(t)
-}
-
-// SetReadDeadline implements net.Conn.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readDeadline = t
-	c.mu.Unlock()
-	return c.Conn.SetReadDeadline(t)
 }
 
 // SetWriteDeadline implements net.Conn.
@@ -120,41 +137,29 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	return c.Conn.SetWriteDeadline(t)
 }
 
-// waitWhileStalled blocks while stalled() holds, returning a timeout error
-// if the relevant deadline passes first and a killed error if the
-// connection is severed while waiting.
-func (c *Conn) waitWhileStalled(stalled func() bool, deadline func() time.Time) error {
-	for stalled() {
-		if c.isKilled() {
+// waitWhileStalled blocks while writes toward the remote host are stalled,
+// returning a timeout error if the write deadline passes first and a killed
+// error if the connection is severed while waiting.
+func (c *Conn) waitWhileStalled() error {
+	f := c.fabric
+	for {
+		f.mu.Lock()
+		stalled := c.remote != "" && f.wstall[c.remote]
+		f.mu.Unlock()
+		if !stalled {
+			return nil
+		}
+		c.mu.Lock()
+		killed, d := c.killed, c.writeDeadline
+		c.mu.Unlock()
+		if killed {
 			return killedError{}
 		}
-		if d := deadline(); !d.IsZero() && time.Now().After(d) {
+		if !d.IsZero() && time.Now().After(d) {
 			return timeoutError{}
 		}
 		time.Sleep(stallPollInterval)
 	}
-	return nil
-}
-
-// Read implements net.Conn, applying read stalls for the local host.
-func (c *Conn) Read(b []byte) (int, error) {
-	f := c.fabric
-	err := c.waitWhileStalled(func() bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.rstall[c.local]
-	}, func() time.Time {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.readDeadline
-	})
-	if err != nil {
-		return 0, err
-	}
-	if c.isKilled() {
-		return 0, killedError{}
-	}
-	return c.Conn.Read(b)
 }
 
 // Write implements net.Conn, applying partitions, write stalls, added
@@ -168,16 +173,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		c.kill()
 		return 0, killedError{}
 	}
-	err := c.waitWhileStalled(func() bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return c.remote != "" && f.wstall[c.remote]
-	}, func() time.Time {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.writeDeadline
-	})
-	if err != nil {
+	if err := c.waitWhileStalled(); err != nil {
 		return 0, err
 	}
 	if c.isKilled() {

@@ -2,8 +2,10 @@
 // loopback TCP. A Fabric owns a set of named hosts; each host gets a
 // net.Listener / dialer pair whose connections are wrapped so that a
 // programmable fault plan can be applied to them: dial refusal, connection
-// kill after N frames, read/write stalls, added latency with seeded jitter,
-// and named partition groups.
+// kill after N frames, write stalls, added latency with seeded jitter, and
+// named partition groups. Faults act on writes or by shutting the real
+// socket down, never on reads, so a reader that polls the socket's fd
+// directly observes them exactly as a Read caller does.
 //
 // The fabric never injects faults spontaneously — every fault is scripted by
 // an explicit call (Refuse, Partition, StallWrites, ...), and the only
@@ -36,9 +38,8 @@ type Fabric struct {
 	cutGroups map[[2]string]bool
 	// refused holds hosts whose inbound dials are refused.
 	refused map[string]bool
-	// wstall / rstall hold hosts whose inbound writes / local reads stall.
+	// wstall holds hosts whose inbound writes stall.
 	wstall map[string]bool
-	rstall map[string]bool
 	// latency is the added per-write delay toward a host.
 	latency map[string]latencyRange
 	// killAfter maps a host pair to a frame budget for new connections.
@@ -64,7 +65,6 @@ func NewFabric(seed int64) *Fabric {
 		cutGroups: map[[2]string]bool{},
 		refused:   map[string]bool{},
 		wstall:    map[string]bool{},
-		rstall:    map[string]bool{},
 		latency:   map[string]latencyRange{},
 		killAfter: map[[2]string]int{},
 		conns:     map[*Conn]struct{}{},
@@ -175,17 +175,6 @@ func (f *Fabric) StallWrites(host string, stalled bool) {
 		f.wstall[host] = true
 	} else {
 		delete(f.wstall, host)
-	}
-}
-
-// StallReads makes every read performed by host block while set.
-func (f *Fabric) StallReads(host string, stalled bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if stalled {
-		f.rstall[host] = true
-	} else {
-		delete(f.rstall, host)
 	}
 }
 

@@ -141,35 +141,6 @@ func TestStallWritesHonoursDeadline(t *testing.T) {
 	}
 }
 
-func TestStallReadsBlocksUntilCleared(t *testing.T) {
-	f := NewFabric(1)
-	dc, ac := pipePair(t, f, "a", "b")
-	f.StallReads("b", true)
-	if _, err := dc.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 1)
-		_, err := ac.Read(buf)
-		got <- err
-	}()
-	select {
-	case <-got:
-		t.Fatal("stalled read returned")
-	case <-time.After(20 * time.Millisecond):
-	}
-	f.StallReads("b", false)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("read after unstall: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("read did not resume after unstall")
-	}
-}
-
 func TestLatencyDeterministicPerSeed(t *testing.T) {
 	delays := func(seed int64) []time.Duration {
 		f := NewFabric(seed)

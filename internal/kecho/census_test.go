@@ -46,13 +46,16 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestGoroutineCensus is the connection-scale regression gate: a publisher
-// with N subscribed peers must cost O(writers + fallback readers) goroutines
-// — not O(N) — and Close must release every one of them. The same bound is
-// asserted at N=8 and N=256, which is what makes it a flat-scaling test
-// rather than a constant-factor one.
+// with N subscribed peers must cost O(writers) goroutines — not O(N) — and
+// Close must release every one of them. The same bound is asserted at N=8
+// and N=256, which is what makes it a flat-scaling test rather than a
+// constant-factor one.
 func TestGoroutineCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins 256 peers")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("the epoll read reactor is Linux-only; elsewhere every conn has a reader goroutine")
 	}
 	for _, n := range []int{8, 256} {
 		t.Run(fmt.Sprintf("peers_%d", n), func(t *testing.T) {
@@ -67,10 +70,10 @@ func TestGoroutineCensus(t *testing.T) {
 				subs[i] = join(t, reg, "census", fmt.Sprintf("sub%d", i), subOpts)
 			}
 			// Settle, then baseline. Everything the publisher adds from here
-			// on — its accept loop, read reactor, writer pool, and any
-			// fallback readers on either side (peer conns accepted by the
-			// subs register with the subs' read reactors, or spawn fallback
-			// readers counted below) — is attributed to the join.
+			// on — its accept loop, read reactor and writer pool — is
+			// attributed to the join. The subs' custom transport still hands
+			// out plain TCP conns, so the subs' read reactors adopt the
+			// publisher's conns and no side may run a fallback reader.
 			time.Sleep(50 * time.Millisecond)
 			runtime.GC()
 			before := runtime.NumGoroutine()
@@ -87,7 +90,7 @@ func TestGoroutineCensus(t *testing.T) {
 			for _, s := range subs {
 				s.Subscribe(func(Event) { got.Add(1) })
 			}
-			if _, err := pub.Submit([]byte("census")); err != nil {
+			if _, err := pub.Publish([]byte("census"), PublishOpts{}); err != nil {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(10 * time.Second)
@@ -101,24 +104,20 @@ func TestGoroutineCensus(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 
-			// Sub-side channels (custom transport, so no read reactor) spawn
-			// one fallback reader per accepted publisher conn during the
-			// join; they are the subs' cost, measured and subtracted so the
-			// assertion isolates the publisher.
-			subFallback := 0
-			for _, s := range subs {
-				subFallback += int(s.fallbackReaders.Load())
+			for i, s := range subs {
+				if n := s.fallbackReaders.Load(); n != 0 {
+					t.Fatalf("sub%d runs %d fallback readers, want 0 (its reactor must adopt the conn)", i, n)
+				}
 			}
-			pubFallback := int(pub.fallbackReaders.Load())
-			after := runtime.NumGoroutine()
-			pubCost := after - before - subFallback
-			// writers + accept loop + read reactor + the publisher's own
-			// fallback readers, plus slack for runtime helpers. Crucially
-			// independent of n.
-			limit := writers + 2 + pubFallback + 4
+			if n := pub.fallbackReaders.Load(); n != 0 {
+				t.Fatalf("publisher runs %d fallback readers, want 0", n)
+			}
+			pubCost := runtime.NumGoroutine() - before
+			// writers + accept loop + read reactor, plus slack for runtime
+			// helpers. Crucially independent of n.
+			limit := writers + 2 + 4
 			if pubCost > limit {
-				t.Fatalf("publisher join cost %d goroutines (pub fallback %d, sub fallback %d), want <= %d — O(N) readers/writers are back",
-					pubCost, pubFallback, subFallback, limit)
+				t.Fatalf("publisher join cost %d goroutines, want <= %d — O(N) readers/writers are back", pubCost, limit)
 			}
 
 			pub.Close()
@@ -141,7 +140,7 @@ func TestEventDrivenDispatch(t *testing.T) {
 
 	done := make(chan Event, 1)
 	b.Subscribe(func(ev Event) { done <- Event{From: ev.From, Payload: ev.CopyPayload(), Seq: ev.Seq} })
-	if _, err := a.Submit([]byte("now")); err != nil {
+	if _, err := a.Publish([]byte("now"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -186,7 +185,7 @@ func TestEventDrivenSerializedAndBackpressured(t *testing.T) {
 	const per = 20
 	for i := 0; i < per; i++ {
 		for _, c := range chans {
-			if _, err := c.Submit([]byte("x")); err != nil {
+			if _, err := c.Publish([]byte("x"), PublishOpts{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -13,14 +13,18 @@
 // receipt on a dedicated per-channel dispatcher goroutine, serialized and
 // backpressured — the latency-floor mode; see DESIGN.md §13).
 //
-// Publishing is asynchronous: Submit enqueues the event on each peer's
+// Publishing is asynchronous: Publish enqueues the event on each peer's
 // bounded outbound queue and returns. A small fixed pool of reactor writer
 // goroutines (Options.Writers) drains every outbox through a ready-ring —
 // coalescing bursts into batch frames — so a stalled subscriber costs the
 // publisher an enqueue (and eventually a counted queue-overflow drop)
-// rather than a write deadline, and an idle peer costs zero goroutines. On
-// Linux the default transport's read side is likewise multiplexed onto one
-// epoll reactor goroutine per channel. The channel is also self-healing:
+// rather than a write deadline, and an idle peer costs zero goroutines. The
+// read side has one receive path: on Linux every conn that exposes a file
+// descriptor — plain TCP or a wrapped one such as faultnet's — is
+// multiplexed onto one epoll reactor goroutine per channel, and only
+// fd-less conns (other platforms, custom transports) get a chunk-reader
+// goroutine; both feed the conn's wire.Parser through the same frame
+// consumer. The channel is also self-healing:
 // joins tolerate unreachable peers, writers bound frame writes with a
 // deadline and drop peers that exceed it, and a per-channel reconnect
 // supervisor heartbeats the registry and re-dials missing peers with
@@ -177,12 +181,12 @@ type Handler func(Event)
 // Stats counts channel traffic; all fields are cumulative.
 //
 // BytesSent and BytesRecv both count event *payload* bytes — the opaque
-// body handed to Submit — excluding the envelope (publisher ID, sequence
+// body handed to Publish — excluding the envelope (publisher ID, sequence
 // number) and frame/batch framing, so a loopback pair's sent and received
 // counters agree regardless of how the transport packs frames.
 type Stats struct {
 	// EventsSent counts events accepted into peer outboxes (one per peer
-	// per Submit); enqueue-time accounting, so delivery failures after the
+	// per Publish); enqueue-time accounting, so delivery failures after the
 	// enqueue surface in QueueDrops and DeadlineDrops, not here.
 	EventsSent uint64
 	EventsRecv uint64
@@ -202,7 +206,7 @@ type Stats struct {
 	DeadlineDrops uint64
 	// QueueDrops counts events accepted (or offered) to a peer's outbound
 	// queue that were discarded before a completed write: the queue was full
-	// at Submit time, the event was still queued or mid-write when the peer
+	// at Publish time, the event was still queued or mid-write when the peer
 	// was torn down, or a single event exceeded the wire frame limit. It is
 	// the publisher-side loss counter: EventsSent - QueueDrops bounds actual
 	// frame deliveries.
@@ -236,7 +240,7 @@ type Options struct {
 	// cannot head-of-line-block the fan-out; 0 means 5s, negative disables.
 	WriteDeadline time.Duration
 	// OutboxSize bounds each peer's outbound event queue, drained by that
-	// peer's writer goroutine; 0 means 1024. A Submit to a peer whose queue
+	// peer's writer goroutine; 0 means 1024. A Publish to a peer whose queue
 	// is full drops the event for that peer (counted in Stats.QueueDrops)
 	// instead of blocking the publisher.
 	OutboxSize int
@@ -344,12 +348,12 @@ type Channel struct {
 	// ring schedules peers with non-empty outboxes onto the reactor writer
 	// pool; see writer.go for the queue-ownership protocol.
 	ring *readyRing
-	// rr multiplexes the read side of default-transport conns onto one
-	// epoll goroutine (Linux); nil means every conn gets a fallback reader.
+	// rr multiplexes the read side of every fd-backed conn onto one epoll
+	// goroutine (Linux); nil means every conn gets a fallback reader.
 	rr *readReactor
-	// fallbackReaders counts live per-conn reader goroutines — conns the
-	// read reactor could not adopt (wrapped transports, non-Linux). The
-	// goroutine-census test bounds total goroutines by writers + this.
+	// fallbackReaders counts live per-conn chunk-reader goroutines — conns
+	// the read reactor could not adopt (no file descriptor, or not Linux).
+	// On Linux the fault suite and the goroutine census assert it stays 0.
 	fallbackReaders atomic.Int32
 
 	// topo, maxHops and role configure the overlay (Options.Topology /
@@ -368,6 +372,9 @@ type Channel struct {
 	peers    map[string]*peer
 	handlers []Handler
 	closed   bool
+	// hellos holds accepted conns whose hello frame is still awaited, so
+	// Close can cut their handshakes short.
+	hellos map[net.Conn]struct{}
 
 	inbox chan Event
 	seq   atomic.Uint64
@@ -409,7 +416,7 @@ type Channel struct {
 }
 
 // outRecord is one encoded event record (publisher ID, seq, payload). It is
-// encoded once per Submit and shared by every peer outbox — the fan-out
+// encoded once per Publish and shared by every peer outbox — the fan-out
 // enqueues the same record N times instead of copying it N times. refs
 // counts the holders (each enqueued outbox plus the submitting goroutine);
 // the last release returns the buffer to the pool, so the steady-state
@@ -470,7 +477,7 @@ type peer struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	// outbox queues encoded event records for the peer's writer goroutine;
-	// Submit enqueues without blocking and never closes it. Records are
+	// Publish enqueues without blocking and never closes it. Records are
 	// refcounted: the writer releases its reference once the record is
 	// written or deliberately dropped.
 	outbox chan *outRecord
@@ -493,6 +500,9 @@ type peer struct {
 	// rfd is the conn's file descriptor while registered with the read
 	// reactor (written once at registration, before any concurrent reader).
 	rfd int
+	// parser reassembles frames from the conn's received chunks; owned by
+	// the conn's single reader (the reactor or its fallback goroutine).
+	parser wire.Parser
 }
 
 // close tears the peer down: closes the connection and wakes the writer.
@@ -568,6 +578,7 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 		dialTimeout:   opts.DialTimeout,
 		writeDeadline: opts.WriteDeadline,
 		peers:         make(map[string]*peer),
+		hellos:        make(map[net.Conn]struct{}),
 		inbox:         make(chan Event, inboxSize),
 		stop:          make(chan struct{}),
 	}
@@ -612,12 +623,7 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 	// The machinery must be running before the first peer attaches: the
 	// read reactor adopts conns as dialPeer/acceptLoop add them, and the
 	// writer pool drains outboxes the moment a producer schedules a peer.
-	// Only the default transport's conns expose raw fds the reactor may
-	// read; wrapped transports (faultnet) intercept Read on their own conn
-	// types, so their peers keep per-conn reader goroutines.
-	if opts.Transport == nil {
-		c.rr = startReadReactor(c)
-	}
+	c.rr = startReadReactor(c)
 	for i := 0; i < c.writers; i++ {
 		c.wg.Add(1)
 		go c.writerLoop()
@@ -809,7 +815,8 @@ func (c *Channel) addPeer(p *peer) {
 }
 
 // startReader hands p's conn to the read reactor, or falls back to a
-// dedicated reader goroutine when the reactor cannot adopt it.
+// dedicated chunk reader when the reactor cannot adopt it (no file
+// descriptor, or no reactor on this platform).
 func (c *Channel) startReader(p *peer) {
 	if c.rr != nil && c.rr.register(p) {
 		return
@@ -852,6 +859,8 @@ func (c *Channel) removePeer(p *peer) {
 	}
 }
 
+// acceptLoop hands every accepted conn to its own handshake goroutine, so
+// a dialer that never sends its hello cannot hold up later accepts.
 func (c *Channel) acceptLoop() {
 	defer c.wg.Done()
 	for {
@@ -859,40 +868,81 @@ func (c *Channel) acceptLoop() {
 		if err != nil {
 			return
 		}
-		// The hello frame identifies the dialing member.
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil || typ != frameHello {
-			conn.Close()
-			continue
-		}
-		d := wire.NewDecoder(payload)
-		chName := d.String()
-		peerID := d.String()
-		if d.Finish() != nil || chName != c.name || peerID == "" {
-			conn.Close()
-			continue
-		}
-		c.addPeer(c.newPeer(peerID, conn))
+		c.wg.Add(1)
+		go c.handshake(conn)
 	}
 }
 
+// handshake reads the hello frame that identifies the dialing member,
+// bounded by the dial timeout (Close cuts it short), and adds the member as
+// a peer.
+func (c *Channel) handshake(conn net.Conn) {
+	defer c.wg.Done()
+	c.mu.Lock()
+	if c.closed || conn.SetReadDeadline(time.Now().Add(c.dialTimeout)) != nil {
+		c.mu.Unlock()
+		conn.Close()
+		return
+	}
+	c.hellos[conn] = struct{}{}
+	c.mu.Unlock()
+	typ, payload, err := wire.ReadFrame(conn)
+	c.mu.Lock()
+	delete(c.hellos, conn)
+	c.mu.Unlock()
+	if err != nil || typ != frameHello || conn.SetReadDeadline(time.Time{}) != nil {
+		conn.Close()
+		return
+	}
+	d := wire.NewDecoder(payload)
+	chName := d.String()
+	peerID := d.String()
+	if d.Finish() != nil || chName != c.name || peerID == "" {
+		conn.Close()
+		return
+	}
+	c.addPeer(c.newPeer(peerID, conn))
+}
+
+// readBufSize sizes the receive buffer a reader fills per read: the
+// reactor's shared buffer and each fallback reader's own. Frames larger
+// than a read reassemble in the conn's parser.
+const readBufSize = 64 << 10
+
 // readLoop is the fallback reader for conns the read reactor cannot adopt:
-// it drains peer p's connection with a blocking FrameReader. It owns a
-// single receive buffer reused across frames, and a batch scratch reused
-// across batch frames, so the steady-state receive path — read frame,
-// unpack batch, decode records, dispatch — performs no allocation.
+// it reads peer p's connection in chunks into one reused buffer and hands
+// each chunk to consume, exactly as the reactor does.
 func (c *Channel) readLoop(p *peer) {
 	defer c.wg.Done()
 	defer c.removePeer(p)
-	fr := wire.NewFrameReader(p.conn)
-	var batch [][]byte // zero-copy views into the frame reader's buffer
+	buf := make([]byte, readBufSize)
+	var batch [][]byte
 	for {
-		typ, payload, err := fr.Next()
-		if err != nil {
+		n, err := p.conn.Read(buf)
+		var perr error
+		if batch, perr = c.consume(p, buf[:n], batch); perr != nil || err != nil {
 			return
 		}
-		batch = c.handleFrame(p, typ, payload, batch)
 	}
+}
+
+// consume feeds one received chunk through p's frame parser and delivers
+// every frame it completes. It is the one frame-consuming step of both read
+// paths (the reactor's service loop and the fallback readLoop); a non-nil
+// error is a protocol violation, after which the caller tears the peer
+// down. batch is the caller's decode scratch, returned for reuse.
+func (c *Channel) consume(p *peer, data []byte, batch [][]byte) ([][]byte, error) {
+	for len(data) > 0 {
+		n, typ, payload, ok, err := p.parser.Next(data)
+		if err != nil {
+			return batch, err
+		}
+		data = data[n:]
+		if ok {
+			batch = c.handleFrame(p, typ, payload, batch)
+		}
+	}
+	return batch, nil
 }
 
 // handleFrame delivers one received frame: a single event directly, a batch
@@ -1055,7 +1105,7 @@ func (c *Channel) relayAdmit(from []byte, seq uint64) (origin string, admit bool
 // tree the peer set is exactly parent+children, so this floods the record
 // to the rest of the tree with no routing state; the hop bound and the
 // dedup gate make transient non-tree peerings (mid-re-parenting) safe. Like
-// Submit, the re-fan-out is encode-free and enqueue-only: one buffer copy,
+// Publish, the re-fan-out is encode-free and enqueue-only: one buffer copy,
 // shared by reference across the outboxes, with overflow counted in
 // QueueDrops.
 func (c *Channel) relayForward(src *peer, origin string, record []byte, hops uint8, traced bool, bodyLen int, tid uint64) {
@@ -1103,7 +1153,7 @@ func (c *Channel) relayForward(src *peer, origin string, record []byte, hops uin
 // observeWritten records outbox residency for every record in a just-written
 // frame plus the frame's batch size. It must run before the records are
 // released: release can hand a record back to the pool, where a concurrent
-// Submit would reset enq and traceID under us.
+// Publish would reset enq and traceID under us.
 func (c *Channel) observeWritten(batch []*outRecord) {
 	if c.obs == nil {
 		return
@@ -1259,33 +1309,12 @@ type PublishOpts struct {
 // members re-publish it down their subtrees, so delivery semantics —
 // every live member sees the event once — match the flat mesh while the
 // publisher's cost stays O(branching factor). All stamping (hop count,
-// trace trailer) flows through this one entry point; Submit and
-// SubmitTraced are thin wrappers.
+// trace trailer) flows through this one entry point.
 func (c *Channel) Publish(payload []byte, opts PublishOpts) (int, error) {
 	tid := opts.TraceID
 	if !opts.Traced && tid == 0 {
 		tid = c.obs.SampleTrace()
 	}
-	return c.publish(payload, tid)
-}
-
-// Submit is Publish with default options — the paper-era entry point,
-// kept for compatibility.
-func (c *Channel) Submit(payload []byte) (int, error) {
-	return c.Publish(payload, PublishOpts{})
-}
-
-// SubmitTraced is Publish for an event whose trace decision was already
-// made: traceID is the ID stamped when the event was born (0 for an
-// unsampled event). The ID rides a trailing wire-frame extension so every
-// downstream stage — queue, propagation, decode, dispatch — attributes its
-// span to the same trace.
-func (c *Channel) SubmitTraced(payload []byte, traceID uint64) (int, error) {
-	return c.Publish(payload, PublishOpts{TraceID: traceID, Traced: true})
-}
-
-// publish is the shared fan-out body behind Publish.
-func (c *Channel) publish(payload []byte, traceID uint64) (int, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1293,8 +1322,8 @@ func (c *Channel) publish(payload []byte, traceID uint64) (int, error) {
 	}
 	// Encode once; every outbox shares the same record. The enqueue loop runs
 	// under c.mu (it never blocks — the selects have defaults), which also
-	// spares the per-Submit peers-slice copy.
-	rec := c.encodeRecord(payload, traceID, true)
+	// spares the per-publish peers-slice copy.
+	rec := c.encodeRecord(payload, tid, true)
 	sent := 0
 	for _, p := range c.peers {
 		// Count the event pending before the enqueue so the graceful drain
@@ -1321,12 +1350,12 @@ func (c *Channel) publish(payload []byte, traceID uint64) (int, error) {
 }
 
 // SubmitTo publishes payload to a single peer, used for targeted control
-// messages (e.g. deploying a filter on one node). Like Submit it only
+// messages (e.g. deploying a filter on one node). Like Publish it only
 // enqueues; an overflowing outbox drops the event and returns an error
 // wrapping ErrOutboxFull, so callers can tell transient backpressure (skip
 // and retry later) from a peer that is not connected at all.
 func (c *Channel) SubmitTo(peerID string, payload []byte) error {
-	// The enqueue runs under c.mu like Submit's: removePeer's adopt-and-drain
+	// The enqueue runs under c.mu like Publish's: removePeer's adopt-and-drain
 	// relies on every producer serializing against the map delete, so a
 	// record can never land on an outbox after the dead peer was drained.
 	c.mu.Lock()
@@ -1546,7 +1575,7 @@ func (c *Channel) superviseOnce() bool {
 }
 
 // Close leaves the channel: stops the supervisor, gives the per-peer
-// writers a bounded chance to drain events already accepted by Submit,
+// writers a bounded chance to drain events already accepted by Publish,
 // closes the listener and all peer connections, waits for goroutines to
 // finish, and deregisters from the registry last — so a racing supervisor
 // round cannot re-register a member that is going away.
@@ -1564,6 +1593,9 @@ func (c *Channel) Close() error {
 	peers := make([]*peer, 0, len(c.peers))
 	for _, p := range c.peers {
 		peers = append(peers, p)
+	}
+	for conn := range c.hellos {
+		_ = conn.SetReadDeadline(time.Now()) // fails only if already closed
 	}
 	c.mu.Unlock()
 
@@ -1590,7 +1622,7 @@ func (c *Channel) Close() error {
 }
 
 // drainOutboxes waits for the peers' writers to flush every event already
-// accepted by Submit (the per-peer pending count reaching zero), giving up
+// accepted by Publish (the per-peer pending count reaching zero), giving up
 // after one write deadline — the bound a single stalled peer could already
 // cost a writer. A peer whose writer has died is skipped: nothing will
 // consume its outbox again, and its remnants are counted in QueueDrops by

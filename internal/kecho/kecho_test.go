@@ -64,9 +64,9 @@ func TestTwoMemberDelivery(t *testing.T) {
 		mu.Unlock()
 		got.Add(1)
 	})
-	n, err := a.Submit([]byte("loadavg 2.5"))
+	n, err := a.Publish([]byte("loadavg 2.5"), PublishOpts{})
 	if err != nil || n != 1 {
-		t.Fatalf("Submit = (%d, %v)", n, err)
+		t.Fatalf("Publish = (%d, %v)", n, err)
 	}
 	waitForEvents(t, b, &got, 1)
 	mu.Lock()
@@ -93,9 +93,9 @@ func TestPeerToPeerMeshFanout(t *testing.T) {
 	}
 	// Each member submits one event; every other member must receive it.
 	for i := 0; i < n; i++ {
-		sent, err := chans[i].Submit([]byte{byte(i)})
+		sent, err := chans[i].Publish([]byte{byte(i)}, PublishOpts{})
 		if err != nil || sent != n-1 {
-			t.Fatalf("node%d Submit = (%d, %v), want %d", i, sent, err, n-1)
+			t.Fatalf("node%d Publish = (%d, %v), want %d", i, sent, err, n-1)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -120,7 +120,7 @@ func TestPolledEventsWaitForPoll(t *testing.T) {
 
 	var got atomic.Int64
 	b.Subscribe(func(Event) { got.Add(1) })
-	if _, err := a.Submit([]byte("x")); err != nil {
+	if _, err := a.Publish([]byte("x"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until queued, but unpolled events must not dispatch.
@@ -151,7 +151,7 @@ func TestImmediateDispatch(t *testing.T) {
 
 	done := make(chan Event, 1)
 	b.Subscribe(func(ev Event) { done <- ev })
-	if _, err := a.Submit([]byte("now")); err != nil {
+	if _, err := a.Publish([]byte("now"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -207,7 +207,7 @@ func TestEventSequenceNumbers(t *testing.T) {
 		got.Add(1)
 	})
 	for i := 0; i < 5; i++ {
-		if _, err := a.Submit([]byte{byte(i)}); err != nil {
+		if _, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestStatsCounters(t *testing.T) {
 	b.Subscribe(func(Event) { got.Add(1) })
 	payload := make([]byte, 100)
 	for i := 0; i < 3; i++ {
-		if _, err := a.Submit(payload); err != nil {
+		if _, err := a.Publish(payload, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestByteAccountingSymmetric(t *testing.T) {
 	b.Subscribe(func(Event) { got.Add(1) })
 	var want uint64
 	for _, size := range []int{0, 1, 37, 4096} {
-		if _, err := a.Submit(make([]byte, size)); err != nil {
+		if _, err := a.Publish(make([]byte, size), PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		want += uint64(size)
@@ -315,7 +315,7 @@ func TestInboxOverflowDropsAndCounts(t *testing.T) {
 	b.WaitForPeers(1, time.Second)
 
 	for i := 0; i < 50; i++ {
-		if _, err := a.Submit([]byte{byte(i)}); err != nil {
+		if _, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func TestPeerDisconnectPrunesMesh(t *testing.T) {
 	// After b closes, a's submit discovers the dead peer and prunes it.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		n, err := a.Submit([]byte("ping"))
+		n, err := a.Publish([]byte("ping"), PublishOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestRefreshPeersHealsMesh(t *testing.T) {
 	bOld.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for len(a.Peers()) != 0 {
-		a.Submit([]byte("probe")) // prune the dead peer
+		a.Publish([]byte("probe"), PublishOpts{}) // prune the dead peer
 		if time.Now().After(deadline) {
 			t.Fatal("dead peer never pruned")
 		}
@@ -414,8 +414,8 @@ func TestSubmitOnClosedChannel(t *testing.T) {
 	reg := newRegistry(t)
 	a := join(t, reg, "mon", "a", nil)
 	a.Close()
-	if _, err := a.Submit([]byte("x")); err == nil {
-		t.Fatal("Submit on closed channel succeeded")
+	if _, err := a.Publish([]byte("x"), PublishOpts{}); err == nil {
+		t.Fatal("Publish on closed channel succeeded")
 	}
 	if err := a.SubmitTo("b", nil); err == nil {
 		t.Fatal("SubmitTo on closed channel succeeded")
@@ -450,7 +450,7 @@ func TestMonitoringAndControlChannelPair(t *testing.T) {
 	var monGot, ctlGot atomic.Int64
 	monB.Subscribe(func(Event) { monGot.Add(1) })
 	ctlB.Subscribe(func(Event) { ctlGot.Add(1) })
-	if _, err := monA.Submit([]byte("data")); err != nil {
+	if _, err := monA.Publish([]byte("data"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, monB, &monGot, 1)
@@ -477,7 +477,7 @@ func TestLargeEventPayload(t *testing.T) {
 		recvLen.Store(int64(len(ev.Payload)))
 		got.Add(1)
 	})
-	if _, err := a.Submit(payload); err != nil {
+	if _, err := a.Publish(payload, PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -502,7 +502,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := a.Submit([]byte("c")); err != nil {
+				if _, err := a.Publish([]byte("c"), PublishOpts{}); err != nil {
 					t.Error(err)
 					return
 				}

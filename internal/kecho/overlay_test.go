@@ -147,9 +147,9 @@ func TestRelayTreeFloodDelivery(t *testing.T) {
 		}
 		// Publisher-side flatness: accepted count is the neighbor count
 		// (at most branching+1), not n-1.
-		sent, err := chans[i].Submit([]byte{byte(i)})
+		sent, err := chans[i].Publish([]byte{byte(i)}, PublishOpts{})
 		if err != nil || sent != len(want) {
-			t.Fatalf("node%d Submit = (%d, %v), want %d neighbors", i, sent, err, len(want))
+			t.Fatalf("node%d Publish = (%d, %v), want %d neighbors", i, sent, err, len(want))
 		}
 		if sent > 3 {
 			t.Fatalf("node%d accepted %d direct sends, want <= branching+1 = 3", i, sent)
@@ -228,7 +228,7 @@ func TestRelayInteriorKillReparent(t *testing.T) {
 				return
 			default:
 			}
-			sent, err := pub.Submit([]byte{byte(i)})
+			sent, err := pub.Publish([]byte{byte(i)}, PublishOpts{})
 			if err != nil {
 				return
 			}

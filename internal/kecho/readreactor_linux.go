@@ -3,29 +3,42 @@
 package kecho
 
 import (
+	"os"
 	"sync"
 	"syscall"
-
-	"dproc/internal/wire"
+	"time"
 )
 
-// readReactor multiplexes the read side of every plain-TCP peer connection
-// onto one epoll-driven goroutine per channel, so an idle peer costs zero
-// reader goroutines. It is only engaged for the default transport
-// (Options.Transport == nil): wrapped transports (faultnet, tests) intercept
-// Read/Write on their own conn types, which a raw-fd reader would bypass, so
-// those peers fall back to a per-conn reader goroutine (counted in
-// Channel.fallbackReaders).
+// readReactor multiplexes the read side of every peer connection that
+// exposes a file descriptor (syscall.Conn) onto one epoll-driven goroutine
+// per channel, so an idle peer costs zero reader goroutines. That covers the
+// default transport and wrapped ones alike: faultnet's conns hand over their
+// socket and inject every fault on the write side or by shutting the socket
+// down, which epoll reports as a hang-up, so the fault suite exercises this
+// same reader. Only fd-less conns fall back to a per-conn chunk reader
+// (counted in Channel.fallbackReaders).
 //
 // Reads are performed through syscall.RawConn.Read with a pre-built per-conn
 // closure, so the runtime's fd refcount protects against close/reuse races
 // and the steady-state read path allocates nothing. The reactor goroutine is
-// the only reader, so one shared receive buffer serves every conn; frames
-// split across reads accumulate in a per-conn incremental wire.Parser.
+// the only reader, so one shared receive buffer serves every conn; each
+// chunk goes through Channel.consume, the frame consumer the fallback
+// reader shares, into the peer's incremental wire.Parser.
+//
+// The reactor goroutine never blocks in epoll_wait itself: the epoll fd is
+// nonblocking and registered with the Go runtime's netpoller (an epoll set
+// is itself pollable — readable while any member is ready), so the
+// goroutine parks in the scheduler between wake-ups instead of pinning a
+// processor in a blocking system call, which would stall every other
+// goroutine on a small GOMAXPROCS until the runtime retook it.
 type readReactor struct {
 	c      *Channel
 	epfd   int
-	wake   [2]int // pipe: writing one byte interrupts EpollWait for shutdown
+	ep     *os.File        // epfd, as a netpoller-registered file
+	epRaw  syscall.RawConn // ep's raw access, for the nonblocking wait
+	waitFn func(fd uintptr) bool
+	nev    int   // waitFn's result: ready events in events[:nev]
+	werr   error // waitFn's result: the epoll_wait error
 	mu     sync.Mutex
 	conns  map[int]*reactorConn
 	closed bool
@@ -38,7 +51,6 @@ type reactorConn struct {
 	p       *peer
 	raw     syscall.RawConn
 	fd      int
-	parser  wire.Parser
 	readFn  func(fd uintptr) bool
 	lastN   int
 	lastErr error
@@ -51,25 +63,31 @@ func startReadReactor(c *Channel) *readReactor {
 	if err != nil {
 		return nil
 	}
-	var pfd [2]int
-	if err := syscall.Pipe2(pfd[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		syscall.Close(epfd)
+		return nil
+	}
+	// NewFile registers a nonblocking fd with the netpoller; only a
+	// registered file accepts a deadline, so that doubles as the check.
+	ep := os.NewFile(uintptr(epfd), "kecho-epoll")
+	raw, err := ep.SyscallConn()
+	if err != nil || ep.SetReadDeadline(time.Time{}) != nil {
+		ep.Close()
 		return nil
 	}
 	r := &readReactor{
 		c:      c,
 		epfd:   epfd,
-		wake:   pfd,
+		ep:     ep,
+		epRaw:  raw,
 		conns:  make(map[int]*reactorConn),
-		buf:    make([]byte, 64<<10),
+		buf:    make([]byte, readBufSize),
 		events: make([]syscall.EpollEvent, 64),
 	}
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(pfd[0])}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pfd[0], &ev); err != nil {
-		syscall.Close(epfd)
-		syscall.Close(pfd[0])
-		syscall.Close(pfd[1])
-		return nil
+	// Built once: a per-wait closure would allocate on every wake-up.
+	r.waitFn = func(fd uintptr) bool {
+		r.nev, r.werr = syscall.EpollWait(int(fd), r.events, 0)
+		return r.nev > 0 || r.werr != nil // false: park until epfd is readable
 	}
 	c.wg.Add(1)
 	go r.run()
@@ -134,18 +152,17 @@ func (r *readReactor) forget(p *peer) {
 func (r *readReactor) run() {
 	defer r.c.wg.Done()
 	for {
-		n, err := syscall.EpollWait(r.epfd, r.events, -1)
-		if err != nil {
-			if err == syscall.EINTR {
+		if err := r.epRaw.Read(r.waitFn); err != nil {
+			return // shutdown expired the read deadline
+		}
+		if r.werr != nil {
+			if r.werr == syscall.EINTR {
 				continue
 			}
 			return
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < r.nev; i++ {
 			fd := int(r.events[i].Fd)
-			if fd == r.wake[0] {
-				return // shutdown: only ever written by shutdown()
-			}
 			r.mu.Lock()
 			rc := r.conns[fd]
 			r.mu.Unlock()
@@ -157,8 +174,8 @@ func (r *readReactor) run() {
 	}
 }
 
-// service reads whatever rc's socket has buffered and feeds it through the
-// conn's incremental parser, dispatching each completed frame. It returns
+// service reads whatever rc's socket has buffered and hands it to consume,
+// which dispatches each completed frame. It returns
 // when the socket drains (EAGAIN) — epoll is level-triggered, so a partial
 // drain simply re-fires — and tears the peer down on EOF, a read error, or
 // a protocol violation.
@@ -171,17 +188,10 @@ func (r *readReactor) service(rc *reactorConn) {
 		}
 		n, rerr := rc.lastN, rc.lastErr
 		if n > 0 {
-			data := r.buf[:n]
-			for len(data) > 0 {
-				used, typ, payload, ok, perr := rc.parser.Next(data)
-				if perr != nil {
-					r.teardown(rc)
-					return
-				}
-				data = data[used:]
-				if ok {
-					r.batch = r.c.handleFrame(rc.p, typ, payload, r.batch)
-				}
+			var perr error
+			if r.batch, perr = r.c.consume(rc.p, r.buf[:n], r.batch); perr != nil {
+				r.teardown(rc)
+				return
 			}
 		}
 		if rerr == syscall.EAGAIN || rerr == syscall.EWOULDBLOCK {
@@ -205,9 +215,9 @@ func (r *readReactor) teardown(rc *reactorConn) {
 	r.c.removePeer(rc.p)
 }
 
-// shutdown wakes the reactor goroutine so it exits; idempotent. The fds are
-// closed later by closeFDs, after Close's wg.Wait proves no goroutine can
-// still touch them.
+// shutdown wakes the reactor goroutine so it exits; idempotent. The epoll
+// fd is closed later by closeFDs, after Close's wg.Wait proves no goroutine
+// can still touch it.
 func (r *readReactor) shutdown() {
 	r.mu.Lock()
 	if r.closed {
@@ -216,12 +226,7 @@ func (r *readReactor) shutdown() {
 	}
 	r.closed = true
 	r.mu.Unlock()
-	var b [1]byte
-	_, _ = syscall.Write(r.wake[1], b[:])
+	_ = r.ep.SetReadDeadline(time.Unix(1, 0)) // supported: checked at start
 }
 
-func (r *readReactor) closeFDs() {
-	syscall.Close(r.epfd)
-	syscall.Close(r.wake[0])
-	syscall.Close(r.wake[1])
-}
+func (r *readReactor) closeFDs() { r.ep.Close() }

@@ -43,7 +43,7 @@ func TestTraceContinuityAcrossReconnect(t *testing.T) {
 		got.Add(1)
 	})
 
-	if _, err := a.Submit([]byte("before")); err != nil {
+	if _, err := a.Publish([]byte("before"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -62,7 +62,7 @@ func TestTraceContinuityAcrossReconnect(t *testing.T) {
 			t.Fatalf("mesh did not self-heal: reconnects=%d",
 				a.Stats().Reconnects+b.Stats().Reconnects)
 		}
-		if _, err := a.Submit([]byte("after")); err == nil {
+		if _, err := a.Publish([]byte("after"), PublishOpts{}); err == nil {
 			b.Poll()
 			if got.Load() >= 2 {
 				break

@@ -60,7 +60,7 @@ func (c *Channel) writerLoop() {
 // tail (more queued: fairness demands other ready peers go first) or
 // releases the scheduled token. On a write failure the peer is torn down and
 // everything still queued is counted in QueueDrops; the deadline is paid
-// here, off the Submit path, exactly as in the per-peer-writer design.
+// here, off the Publish path, exactly as in the per-peer-writer design.
 func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 	// carry holds a record pulled in a previous round that would have pushed
 	// that batch past the frame limit; it opens this batch instead,

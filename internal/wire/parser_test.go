@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -112,4 +114,89 @@ func TestParserRejectsBadFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameErrClass names the failure a frame stream ended with, so ReadFrame's
+// and Parser's verdicts on the same bytes can be compared: "" for a clean
+// end at a frame boundary, "truncated" for a stream that stops mid-frame,
+// and one class per header check.
+func frameErrClass(err error) string {
+	switch {
+	case err == nil || err == io.EOF:
+		return ""
+	case errors.Is(err, ErrBadMagic):
+		return "magic"
+	case errors.Is(err, ErrBadVersion):
+		return "version"
+	case errors.Is(err, ErrFrameSize):
+		return "size"
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return "truncated"
+	}
+	return "other: " + err.Error()
+}
+
+// FuzzParserMatchesReadFrame is the single-decoder property: for any byte
+// stream cut into any chunking (chunks[i] gives the i-th chunk size, 1–256
+// bytes, cycling; no chunks means one whole-stream chunk), the incremental
+// Parser yields exactly the frames a blocking ReadFrame loop yields and
+// stops with the same class of error.
+func FuzzParserMatchesReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream, chunks []byte) {
+		var wantTypes []uint8
+		var wantPayloads [][]byte
+		r := bytes.NewReader(stream)
+		var wantClass string
+		for {
+			typ, payload, err := ReadFrame(r)
+			if err != nil {
+				wantClass = frameErrClass(err)
+				break
+			}
+			wantTypes = append(wantTypes, typ)
+			wantPayloads = append(wantPayloads, payload)
+		}
+
+		var p Parser
+		var types []uint8
+		var payloads [][]byte
+		gotClass := ""
+	feed:
+		for off, i := 0, 0; off < len(stream); i++ {
+			size := len(stream)
+			if len(chunks) > 0 {
+				size = 1 + int(chunks[i%len(chunks)])
+			}
+			data := stream[off:min(off+size, len(stream))]
+			off += len(data)
+			for len(data) > 0 {
+				n, typ, payload, ok, err := p.Next(data)
+				if err != nil {
+					gotClass = frameErrClass(err)
+					break feed
+				}
+				data = data[n:]
+				if ok {
+					types = append(types, typ)
+					payloads = append(payloads, append([]byte(nil), payload...))
+				}
+			}
+		}
+		if gotClass == "" && p.nHdr > 0 {
+			gotClass = "truncated"
+		}
+
+		if gotClass != wantClass {
+			t.Fatalf("Parser ended with %q, ReadFrame with %q", gotClass, wantClass)
+		}
+		if len(types) != len(wantTypes) {
+			t.Fatalf("Parser yielded %d frames, ReadFrame %d", len(types), len(wantTypes))
+		}
+		for i := range types {
+			if types[i] != wantTypes[i] || !bytes.Equal(payloads[i], wantPayloads[i]) {
+				t.Fatalf("frame %d differs: type %d/%d, %d/%d bytes",
+					i, types[i], wantTypes[i], len(payloads[i]), len(wantPayloads[i]))
+			}
+		}
+	})
 }

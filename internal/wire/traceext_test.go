@@ -96,15 +96,14 @@ func TestTracedReceivePathIsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src := &rewindReader{data: stream.Bytes()}
-	fr := NewFrameReader(src)
+	chunk := stream.Bytes()
+	var p Parser
 	var batch [][]byte
 	var traced int
 	receive := func() {
-		src.off = 0
-		_, payload, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
+		_, _, payload, ok, err := p.Next(chunk)
+		if err != nil || !ok {
+			t.Fatalf("Next = ok %v, %v", ok, err)
 		}
 		var derr error
 		batch, derr = DecodeBatchInto(batch[:0], payload)

@@ -99,80 +99,40 @@ func WriteFrame(w io.Writer, msgType uint8, payload []byte) error {
 }
 
 // ReadFrame reads one frame from r, returning its type and a freshly
-// allocated payload the caller owns. Hot paths that read many frames from
-// one connection should use a FrameReader (or ReadFrameInto) to reuse a
-// per-connection receive buffer instead.
+// allocated payload the caller owns. It serves request/reply exchanges (the
+// registry, channel hellos); a connection that streams many frames feeds a
+// Parser instead, which reuses its buffers.
 func ReadFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
-	return ReadFrameInto(r, nil)
-}
-
-// ReadFrameInto reads one frame from r, filling the payload into buf when it
-// fits buf's capacity (the returned payload then aliases buf) and allocating
-// a fresh slice only when the frame is larger. Callers maintaining a
-// per-connection receive buffer pass the previous returned payload's backing
-// buffer back in; FrameReader packages that pattern.
-func ReadFrameInto(r io.Reader, buf []byte) (msgType uint8, payload []byte, err error) {
 	var hdr [HeaderSize]byte
-	return readFrameInto(r, buf, hdr[:])
-}
-
-// readFrameInto is ReadFrameInto with a caller-owned header scratch, so a
-// FrameReader's steady state avoids the per-call header allocation (the
-// array would otherwise escape into the io.ReadFull interface call).
-func readFrameInto(r io.Reader, buf, hdr []byte) (msgType uint8, payload []byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
-		return 0, nil, ErrBadMagic
+	msgType, n, err := parseHeader(&hdr)
+	if err != nil {
+		return 0, nil, err
 	}
-	if hdr[2] != Version {
-		return 0, nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[2], Version)
-	}
-	msgType = hdr[3]
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxFrameSize {
-		return 0, nil, ErrFrameSize
-	}
-	if int(n) <= cap(buf) {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
+	payload = make([]byte, n)
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("wire: short frame payload: %w", err)
 	}
 	return msgType, payload, nil
 }
 
-// FrameReader reads length-prefixed frames from one connection, reusing a
-// single receive buffer across frames so the steady-state receive path does
-// not allocate. The buffer grows to the largest frame seen.
-//
-// Ownership contract: the payload returned by Next aliases the reader's
-// buffer and is valid only until the next Next call. A consumer that needs
-// the bytes longer must copy them before returning to the read loop.
-type FrameReader struct {
-	r   io.Reader
-	buf []byte
-	hdr [HeaderSize]byte
-}
-
-// NewFrameReader returns a FrameReader over r.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
-
-// Next reads one frame, returning its type and payload. The payload is valid
-// only until the next call to Next.
-func (fr *FrameReader) Next() (msgType uint8, payload []byte, err error) {
-	msgType, payload, err = readFrameInto(fr.r, fr.buf, fr.hdr[:])
-	if err != nil {
-		return msgType, nil, err
+// parseHeader validates a frame header — magic, version, and the frame-size
+// bound — and returns the frame's type and payload length. ReadFrame and
+// Parser both validate through it.
+func parseHeader(hdr *[HeaderSize]byte) (msgType uint8, n int, err error) {
+	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
+		return 0, 0, ErrBadMagic
 	}
-	if cap(payload) > cap(fr.buf) {
-		// Adopt the grown buffer so the next frame of this size reuses it.
-		fr.buf = payload[:cap(payload)]
+	if hdr[2] != Version {
+		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[2], Version)
 	}
-	return msgType, payload, nil
+	size := binary.BigEndian.Uint32(hdr[4:HeaderSize])
+	if size > MaxFrameSize {
+		return 0, 0, ErrFrameSize
+	}
+	return hdr[3], int(size), nil
 }
 
 // ErrBadBatch reports a malformed batch payload.

@@ -19,60 +19,29 @@ func frames(t *testing.T, payloads ...[]byte) *bytes.Buffer {
 	return &buf
 }
 
-// TestFrameReaderReusesBuffer pins the FrameReader ownership contract: the
-// payload from Next aliases the reader's buffer, so the next equal-size
-// frame overwrites it. A consumer that held the slice across Next calls
-// observes the new frame's bytes — the violation is caught.
-func TestFrameReaderReusesBuffer(t *testing.T) {
-	stream := frames(t, []byte("frame-one"), []byte("frame-two"))
-	fr := NewFrameReader(stream)
-
-	_, p1, err := fr.Next()
-	if err != nil || string(p1) != "frame-one" {
-		t.Fatalf("first Next = %q, %v", p1, err)
-	}
-	retained := p1 // contract violation: kept across Next
-
-	_, p2, err := fr.Next()
-	if err != nil || string(p2) != "frame-two" {
-		t.Fatalf("second Next = %q, %v", p2, err)
-	}
-	if string(retained) != "frame-two" {
-		t.Fatalf("retained slice reads %q; the receive buffer was not reused", retained)
-	}
-}
-
-// TestFrameReaderGrowsForLargeFrames pins correctness when frames exceed the
-// current buffer: the reader adopts the grown buffer and keeps serving.
-func TestFrameReaderGrowsForLargeFrames(t *testing.T) {
-	big := bytes.Repeat([]byte("x"), 64<<10)
-	stream := frames(t, []byte("small"), big, []byte("again"))
-	fr := NewFrameReader(stream)
-	for i, want := range [][]byte{[]byte("small"), big, []byte("again")} {
-		_, p, err := fr.Next()
+// TestParserReusesSplitFrameBuffer pins the Parser ownership contract for
+// frames that arrive split across reads: the payload is accumulated in the
+// parser's buffer, and the next split frame of no greater size reuses it. A
+// consumer that held the first payload past the next Next call observes the
+// second frame's bytes — the violation is caught.
+func TestParserReusesSplitFrameBuffer(t *testing.T) {
+	stream := frames(t, []byte("frame-one"), []byte("frame-two")).Bytes()
+	var p Parser
+	var views [][]byte // retained on purpose: a contract violation
+	for i := range stream {
+		_, _, payload, ok, err := p.Next(stream[i : i+1])
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(p, want) {
-			t.Fatalf("frame %d: got %d bytes, want %d", i, len(p), len(want))
+		if ok {
+			views = append(views, payload)
 		}
 	}
-	if _, _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("after stream end: %v", err)
+	if len(views) != 2 || string(views[1]) != "frame-two" {
+		t.Fatalf("frames = %q, want two", views)
 	}
-}
-
-// TestReadFrameIntoReusesCapacity pins that a sufficiently large caller
-// buffer is reused rather than reallocated.
-func TestReadFrameIntoReusesCapacity(t *testing.T) {
-	stream := frames(t, []byte("hello"))
-	buf := make([]byte, 0, 32)
-	_, payload, err := ReadFrameInto(stream, buf)
-	if err != nil || string(payload) != "hello" {
-		t.Fatalf("ReadFrameInto = %q, %v", payload, err)
-	}
-	if &payload[0] != &buf[:1][0] {
-		t.Fatal("payload does not alias the caller's buffer")
+	if &views[0][0] != &views[1][0] || string(views[0]) != "frame-two" {
+		t.Fatalf("first payload reads %q; the split-frame buffer was not reused", views[0])
 	}
 }
 
@@ -150,25 +119,10 @@ func TestWriteFrameVectoredMatchesFallback(t *testing.T) {
 	}
 }
 
-// rewindReader serves the same byte stream repeatedly without allocating,
-// so allocation tests can drive the receive path in steady state.
-type rewindReader struct {
-	data []byte
-	off  int
-}
-
-func (r *rewindReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
 // TestSteadyStateReceivePathIsAllocationFree pins the tentpole acceptance
-// criterion at the wire layer: reading a frame, unpacking its batch and
-// decoding every record allocates nothing once the buffers are warm.
+// criterion at the wire layer: parsing a frame out of a received chunk,
+// unpacking its batch and decoding every record allocates nothing once the
+// buffers are warm.
 func TestSteadyStateReceivePathIsAllocationFree(t *testing.T) {
 	// One batch frame holding three event-shaped records.
 	var records [][]byte
@@ -184,15 +138,14 @@ func TestSteadyStateReceivePathIsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src := &rewindReader{data: stream.Bytes()}
-	fr := NewFrameReader(src)
+	chunk := stream.Bytes()
+	var p Parser
 	var batch [][]byte
 	sink := 0
 	receive := func() {
-		src.off = 0
-		_, payload, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
+		_, _, payload, ok, err := p.Next(chunk)
+		if err != nil || !ok {
+			t.Fatalf("Next = ok %v, %v", ok, err)
 		}
 		var derr error
 		batch, derr = DecodeBatchInto(batch[:0], payload)
@@ -210,7 +163,7 @@ func TestSteadyStateReceivePathIsAllocationFree(t *testing.T) {
 			sink += len(body)
 		}
 	}
-	receive() // warm the reader buffer and batch scratch
+	receive() // warm the batch scratch
 	if avg := testing.AllocsPerRun(200, receive); avg != 0 {
 		t.Fatalf("steady-state receive path allocates %.1f times per frame, want 0", avg)
 	}
